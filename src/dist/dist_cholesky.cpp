@@ -983,6 +983,17 @@ DistFtResult dist_tiled_potrf_ft(Runtime& runtime, Communicator& comm,
       // recover against, so it propagates as detection-only.
       if (e.dead_ranks().empty()) throw;
       need_recovery = true;
+    } catch (const RankKilled&) {
+      // This rank died: drain its runtime before the fault unwinds past
+      // the matrices and caches its in-flight tasks still read.
+      runtime.set_error_callback(nullptr);
+      runtime.cancel();
+      try {
+        runtime.wait();
+      } catch (...) {
+        // Task errors of the aborted round are expected collateral.
+      }
+      throw;
     }
   }
 

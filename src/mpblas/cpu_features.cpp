@@ -94,6 +94,7 @@ CpuFeatures probe() {
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  f.f16c = __builtin_cpu_supports("f16c") != 0;
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
   f.neon = true;
@@ -130,6 +131,7 @@ std::string to_string(const CpuFeatures& features) {
   flag(features.avx2, "avx2");
   flag(features.fma, "fma");
   flag(features.avx512f, "avx512f");
+  flag(features.f16c, "f16c");
   flag(features.neon, "neon");
   if (!any) os << "baseline";
   os << " l1d=" << features.l1d_bytes << " l2=" << features.l2_bytes

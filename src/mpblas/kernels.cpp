@@ -16,6 +16,7 @@
 #include "mpblas/cpu_features.hpp"
 #include "mpblas/microkernel.hpp"
 #include "precision/convert.hpp"
+#include "precision/fp16_codec.hpp"
 #include "tile/tile_pool.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -236,9 +237,12 @@ constexpr std::size_t round_up(std::size_t x, std::size_t unit) {
   return (x + unit - 1) / unit * unit;
 }
 
-/// Element readers: decode one stored element to FP32.  The narrow float
-/// formats go through the precision layer's decode tables, so packed
-/// panels carry exactly the values dequantize_buffer would produce.
+/// Element readers: decode one stored element to FP32; the 16-bit ones
+/// also decode a contiguous run at once (`run`).  The narrow float formats
+/// decode exactly as dequantize_buffer does: FP16 runs through the
+/// dispatched bulk codec and single elements through the exact bit
+/// decoder, BF16 by the bit shift, the 1-byte formats through their
+/// 256-entry tables.
 struct F32Reader {
   const float* p;
   float operator()(std::size_t i) const { return p[i]; }
@@ -256,11 +260,58 @@ struct Table8Reader {
   const float* table;
   float operator()(std::size_t i) const { return table[p[i]]; }
 };
-struct Table16Reader {
+struct Fp16Reader {
   const std::uint16_t* p;
-  const float* table;
-  float operator()(std::size_t i) const { return table[p[i]]; }
+  const Fp16Codec* codec;
+  float operator()(std::size_t i) const { return fp16_bits_to_float(p[i]); }
+  void run(std::size_t i, std::size_t n, float* out) const {
+    codec->decode(p + i, out, n);
+  }
 };
+struct Bf16Reader {
+  const std::uint16_t* p;
+  float operator()(std::size_t i) const { return bf16_bits_to_float(p[i]); }
+  void run(std::size_t i, std::size_t n, float* out) const {
+    decode_bf16(p + i, out, n);
+  }
+};
+
+/// Readers that decode a contiguous run in one bulk call.
+template <typename Reader>
+concept BulkReader = requires(const Reader& read, float* out) {
+  read.run(std::size_t{0}, std::size_t{0}, out);
+};
+
+/// Packs `len` x kb source elements, element (x, l) at
+/// x0 + x + (p0 + l) * ld, into `w`-wide micro-panels (x past len
+/// zero-padded).  That is the unit-stride orientation of both operands:
+/// op(A) untransposed (x = row, w = mr) and op(B) transposed (x = column,
+/// w = nr).  Each source run is decoded in one bulk call of up to
+/// kPackRunChunk elements and then scattered across the panels, so the
+/// codec's per-call cost is paid per column of the block, not per
+/// micro-panel.
+constexpr std::size_t kPackRunChunk = 1024;
+
+template <BulkReader Reader>
+void pack_runs_bulk(const Reader& read, std::size_t ld, std::size_t x0,
+                    std::size_t p0, std::size_t len, std::size_t kb,
+                    std::size_t w, float* KGWAS_RESTRICT dst) {
+  alignas(64) float run[kPackRunChunk];
+  const std::size_t chunk = kPackRunChunk / w * w;
+  for (std::size_t l = 0; l < kb; ++l) {
+    for (std::size_t x = 0; x < len; x += chunk) {
+      const std::size_t n = std::min(chunk, len - x);
+      read.run(x0 + x + (p0 + l) * ld, n, run);
+      for (std::size_t i = 0; i < n; i += w) {
+        const std::size_t count = std::min(w, n - i);
+        float* KGWAS_RESTRICT out = dst + (x + i) / w * w * kb + l * w;
+        std::size_t c = 0;
+        for (; c < count; ++c) out[c] = run[i + c];
+        for (; c < w; ++c) out[c] = 0.0f;
+      }
+    }
+  }
+}
 
 template <typename Fn>
 void with_reader(const OperandView& view, Fn&& fn) {
@@ -275,9 +326,11 @@ void with_reader(const OperandView& view, Fn&& fn) {
       fn(I8Reader{static_cast<const std::int8_t*>(view.data)});
       return;
     case Precision::kFp16:
+      fn(Fp16Reader{static_cast<const std::uint16_t*>(view.data),
+                    &fp16_codec()});
+      return;
     case Precision::kBf16:
-      fn(Table16Reader{static_cast<const std::uint16_t*>(view.data),
-                       decode_table(view.storage)});
+      fn(Bf16Reader{static_cast<const std::uint16_t*>(view.data)});
       return;
     default:  // FP8 variants, FP4: one storage byte per element
       fn(Table8Reader{static_cast<const std::uint8_t*>(view.data),
@@ -296,6 +349,12 @@ void pack_a_block_impl(const Reader& read, Trans trans, std::size_t ld,
                        std::size_t i0, std::size_t p0, std::size_t mb,
                        std::size_t kb, std::size_t mr,
                        float* KGWAS_RESTRICT dst) {
+  if constexpr (BulkReader<Reader>) {
+    if (trans == Trans::kNoTrans) {
+      pack_runs_bulk(read, ld, i0, p0, mb, kb, mr, dst);
+      return;
+    }
+  }
   const std::size_t panels = (mb + mr - 1) / mr;
   for (std::size_t p = 0; p < panels; ++p) {
     const std::size_t row0 = i0 + p * mr;
@@ -324,6 +383,12 @@ void pack_b_block_impl(const Reader& read, Trans trans, std::size_t ld,
                        std::size_t p0, std::size_t j0, std::size_t kb,
                        std::size_t nb, std::size_t nr,
                        float* KGWAS_RESTRICT dst) {
+  if constexpr (BulkReader<Reader>) {
+    if (trans == Trans::kTrans) {
+      pack_runs_bulk(read, ld, j0, p0, nb, kb, nr, dst);
+      return;
+    }
+  }
   const std::size_t panels = (nb + nr - 1) / nr;
   for (std::size_t q = 0; q < panels; ++q) {
     const std::size_t col0 = j0 + q * nr;

@@ -191,6 +191,45 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
     }
   }
 
+  // Conversion block: per-precision encode/decode bytes, seconds and GB/s
+  // from the convert.<direction>_{bytes,ns}.<precision> counters
+  // (precision/convert.hpp); omitted when nothing was converted, so FP32
+  // runs keep their earlier schema.
+  {
+    std::map<std::string, std::uint64_t> convert;
+    for (const MetricSnapshot& m : MetricRegistry::global().snapshot()) {
+      if (m.kind == MetricKind::kCounter && m.value != 0 &&
+          m.name.rfind("convert.", 0) == 0) {
+        convert[m.name] = m.value;
+      }
+    }
+    if (!convert.empty()) {
+      w.key("conversion");
+      w.begin_object();
+      for (int i = 0; i < kNumPrecisions; ++i) {
+        const std::string precision = to_string(static_cast<Precision>(i));
+        const auto count = [&](const std::string& what) {
+          const auto it = convert.find("convert." + what + "." + precision);
+          return it == convert.end() ? std::uint64_t{0} : it->second;
+        };
+        if (count("encode_bytes") + count("decode_bytes") == 0) continue;
+        w.key(precision);
+        w.begin_object();
+        for (const std::string direction : {"encode", "decode"}) {
+          const std::uint64_t bytes = count(direction + "_bytes");
+          const std::uint64_t ns = count(direction + "_ns");
+          w.kv(direction + "_bytes", bytes);
+          w.kv(direction + "_s", static_cast<double>(ns) * 1e-9);
+          w.kv(direction + "_gb_per_s",
+               ns == 0 ? 0.0
+                       : static_cast<double>(bytes) / static_cast<double>(ns));
+        }
+        w.end_object();
+      }
+      w.end_object();
+    }
+  }
+
   if (in.fault.valid) {
     w.key("fault");
     w.begin_object();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "common/status.hpp"
 #include "mpblas/batch.hpp"
@@ -102,10 +101,9 @@ void Tile::encode_from(const float* src, std::size_t ld) {
     quantize_buffer(precision_, src, storage_.data(), elements());
     return;
   }
-  std::vector<float> packed(elements());
+  PooledF32 packed(TilePool::global(), elements());
   for (std::size_t j = 0; j < cols_; ++j) {
-    const float* col = src + j * ld;
-    for (std::size_t i = 0; i < rows_; ++i) packed[i + j * rows_] = col[i];
+    std::copy_n(src + j * ld, rows_, packed.data() + j * rows_);
   }
   quantize_buffer(precision_, packed.data(), storage_.data(), elements());
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/env.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace kgwas {
@@ -54,23 +53,23 @@ TilePool::TilePool(std::size_t max_cached_bytes)
 TilePool& TilePool::global() {
   // Leaked on purpose: pool-backed tiles with static storage duration may
   // be destroyed after any function-local static would be, and the pool
-  // must still accept their release.  Only the global pool honors the
-  // KGWAS_TILE_POOL_MB override; explicitly constructed pools keep the
-  // cap their caller asked for.
-  static TilePool* pool = new TilePool(
-      env_size_t("KGWAS_TILE_POOL_MB", kDefaultMaxCachedBytes >> 20) << 20);
+  // must still accept their release.
+  static TilePool* pool = new TilePool();
   return *pool;
 }
 
-AlignedVector<std::byte> TilePool::acquire(std::size_t bytes) {
-  if (bytes == 0) return {};
+template <typename Buffer>
+Buffer TilePool::acquire_from(
+    std::unordered_map<std::size_t, SizeClass<Buffer>>& classes,
+    std::size_t count, std::size_t bytes) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     note_acquire(bytes, stats_);
-    auto it = bytes_.find(bytes);
-    if (it != bytes_.end() && !it->second.empty()) {
-      AlignedVector<std::byte> buffer = std::move(it->second.back());
-      it->second.pop_back();
+    SizeClass<Buffer>& cls = classes[count];
+    cls.peak_in_use = std::max(cls.peak_in_use, ++cls.in_use);
+    if (!cls.idle.empty()) {
+      Buffer buffer = std::move(cls.idle.back());
+      cls.idle.pop_back();
       cached_bytes_ -= bytes;
       stats_.cached_bytes = cached_bytes_;
       ++stats_.reuses;
@@ -78,57 +77,50 @@ AlignedVector<std::byte> TilePool::acquire(std::size_t bytes) {
     }
     ++stats_.fresh_allocations;
   }
-  return AlignedVector<std::byte>(bytes);
+  return Buffer(count);
+}
+
+template <typename Buffer>
+void TilePool::release_to(
+    std::unordered_map<std::size_t, SizeClass<Buffer>>& classes,
+    Buffer&& buffer, std::size_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.releases;
+  note_release(bytes, stats_);
+  SizeClass<Buffer>& cls = classes[buffer.size()];
+  // A buffer this pool never handed out (moved in from elsewhere) must
+  // not drive the count below zero.
+  if (cls.in_use > 0) --cls.in_use;
+  if (cls.idle.size() >= cls.peak_in_use ||
+      cached_bytes_ + bytes > max_cached_bytes_) {
+    ++stats_.dropped;
+    return;  // buffer freed on scope exit
+  }
+  cls.idle.push_back(std::move(buffer));
+  cached_bytes_ += bytes;
+  stats_.cached_bytes = cached_bytes_;
+}
+
+AlignedVector<std::byte> TilePool::acquire(std::size_t bytes) {
+  if (bytes == 0) return {};
+  return acquire_from(bytes_, bytes, bytes);
 }
 
 void TilePool::release(AlignedVector<std::byte>&& buffer) {
   const std::size_t bytes = buffer.size();
   if (bytes == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.releases;
-  note_release(bytes, stats_);
-  if (cached_bytes_ + bytes > max_cached_bytes_) {
-    ++stats_.dropped;
-    return;  // buffer freed on scope exit
-  }
-  bytes_[bytes].push_back(std::move(buffer));
-  cached_bytes_ += bytes;
-  stats_.cached_bytes = cached_bytes_;
+  release_to(bytes_, std::move(buffer), bytes);
 }
 
 AlignedVector<float> TilePool::acquire_f32(std::size_t elements) {
   if (elements == 0) return {};
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    note_acquire(elements * sizeof(float), stats_);
-    auto it = f32_.find(elements);
-    if (it != f32_.end() && !it->second.empty()) {
-      AlignedVector<float> buffer = std::move(it->second.back());
-      it->second.pop_back();
-      cached_bytes_ -= elements * sizeof(float);
-      stats_.cached_bytes = cached_bytes_;
-      ++stats_.reuses;
-      return buffer;
-    }
-    ++stats_.fresh_allocations;
-  }
-  return AlignedVector<float>(elements);
+  return acquire_from(f32_, elements, elements * sizeof(float));
 }
 
 void TilePool::release_f32(AlignedVector<float>&& buffer) {
   const std::size_t elements = buffer.size();
   if (elements == 0) return;
-  const std::size_t bytes = elements * sizeof(float);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.releases;
-  note_release(bytes, stats_);
-  if (cached_bytes_ + bytes > max_cached_bytes_) {
-    ++stats_.dropped;
-    return;
-  }
-  f32_[elements].push_back(std::move(buffer));
-  cached_bytes_ += bytes;
-  stats_.cached_bytes = cached_bytes_;
+  release_to(f32_, std::move(buffer), elements * sizeof(float));
 }
 
 TilePool::Stats TilePool::stats() const {
@@ -138,21 +130,10 @@ TilePool::Stats TilePool::stats() const {
 
 void TilePool::trim() {
   std::lock_guard<std::mutex> lock(mutex_);
-  bytes_.clear();
-  f32_.clear();
+  for (auto& [size, cls] : bytes_) cls.idle.clear();
+  for (auto& [size, cls] : f32_) cls.idle.clear();
   cached_bytes_ = 0;
   stats_.cached_bytes = 0;
-}
-
-void TilePool::set_max_cached_bytes(std::size_t bytes) {
-  if (!caching_enabled()) return;  // sanitizer builds stay alloc/free
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_cached_bytes_ = bytes;
-}
-
-std::size_t TilePool::max_cached_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_cached_bytes_;
 }
 
 }  // namespace kgwas

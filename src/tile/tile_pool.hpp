@@ -17,6 +17,15 @@
 // solves run with zero steady-state allocations, which the unit tests
 // assert via `stats().fresh_allocations`.
 //
+// Retention: each size class keeps its working set.  A released buffer is
+// parked only while its class holds fewer idle buffers than the class's
+// peak number of buffers in use at one time; otherwise it is freed.  So
+// the pool never holds more buffers of a class than the class ever needed
+// at once, and a workload whose phases alternate between size classes
+// re-allocates nothing after its first cycle (a fixed byte cap would drop
+// part of every phase's working set and make glibc re-grow its arena on
+// every pass).
+//
 // Thread safety: all operations are mutex-protected; tile tasks are far
 // coarser than the lock hold times.  The global pool is a leaked singleton
 // so pool-backed objects with static storage duration can never outlive it.
@@ -38,17 +47,17 @@ class TilePool {
     std::uint64_t fresh_allocations = 0;  ///< buffers actually allocated
     std::uint64_t reuses = 0;             ///< acquires served by the free list
     std::uint64_t releases = 0;           ///< buffers returned to the pool
-    std::uint64_t dropped = 0;            ///< releases freed due to the cap
+    std::uint64_t dropped = 0;            ///< releases freed, not parked
     std::size_t cached_bytes = 0;         ///< bytes currently parked
     std::size_t bytes_in_use = 0;         ///< acquired and not yet released
     std::size_t high_water_bytes = 0;     ///< max bytes_in_use ever seen
   };
 
-  /// `max_cached_bytes` caps the bytes parked in free lists; releases past
-  /// the cap free their buffer instead (the pool never caps *outstanding*
-  /// buffers, only idle ones).  The global pool's cap is overridable via
-  /// KGWAS_TILE_POOL_MB; explicit constructions use the argument as-is.
-  explicit TilePool(std::size_t max_cached_bytes = kDefaultMaxCachedBytes);
+  /// `max_cached_bytes` additionally caps the bytes parked in free lists;
+  /// releases past the cap free their buffer instead (the pool never caps
+  /// *outstanding* buffers, only idle ones).  The global pool has no cap:
+  /// the per-class retention rule above bounds it.
+  explicit TilePool(std::size_t max_cached_bytes = kNoCap);
 
   TilePool(const TilePool&) = delete;
   TilePool& operator=(const TilePool&) = delete;
@@ -73,15 +82,29 @@ class TilePool {
   Stats stats() const;
   /// Drops every cached buffer (outstanding buffers are unaffected).
   void trim();
-  void set_max_cached_bytes(std::size_t bytes);
-  std::size_t max_cached_bytes() const;
 
-  static constexpr std::size_t kDefaultMaxCachedBytes = 256u << 20;  // 256 MiB
+  static constexpr std::size_t kNoCap = ~std::size_t{0};
 
  private:
+  /// One exact-size class: its idle buffers plus the in-use count whose
+  /// peak bounds how many idle buffers the class may keep.
+  template <typename Buffer>
+  struct SizeClass {
+    std::vector<Buffer> idle;
+    std::size_t in_use = 0;
+    std::size_t peak_in_use = 0;
+  };
+
+  template <typename Buffer>
+  Buffer acquire_from(std::unordered_map<std::size_t, SizeClass<Buffer>>& classes,
+                      std::size_t count, std::size_t bytes);
+  template <typename Buffer>
+  void release_to(std::unordered_map<std::size_t, SizeClass<Buffer>>& classes,
+                  Buffer&& buffer, std::size_t bytes);
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::size_t, std::vector<AlignedVector<std::byte>>> bytes_;
-  std::unordered_map<std::size_t, std::vector<AlignedVector<float>>> f32_;
+  std::unordered_map<std::size_t, SizeClass<AlignedVector<std::byte>>> bytes_;
+  std::unordered_map<std::size_t, SizeClass<AlignedVector<float>>> f32_;
   std::size_t cached_bytes_ = 0;
   std::size_t max_cached_bytes_;
   Stats stats_;

@@ -33,6 +33,7 @@
 #include "mpblas/kernels.hpp"
 #include "perfmodel/dag_simulator.hpp"
 #include "runtime/runtime.hpp"
+#include "tile/tile_pool.hpp"
 
 namespace kgwas {
 namespace {
@@ -793,6 +794,60 @@ TEST(DistKrr, PipelineIsBitwiseRankCountInvariant) {
     EXPECT_EQ(result.factor_bytes, model.factor_bytes());
     EXPECT_EQ(result.fp32_bytes, model.fp32_bytes());
   }
+}
+
+TEST(DistKrr, RepeatedDistAssociatePassesAllocateOnlyWhileWarmingUp) {
+  // The dist mirror of AccuracyRegression's zero-steady-state check: once
+  // warm, every tile payload, received remote tile and kernel scratch
+  // buffer of a dist_associate pass comes from the pool's parked working
+  // sets.  The ranks share the global pool, so a class's peak in use
+  // depends on how the ranks' tasks happen to overlap; under host load a
+  // later pass can raise a transient class's peak by a buffer.  That
+  // slack is bounded by the number of concurrent executors, whatever the
+  // pass count, while a pool that fails to keep its working sets
+  // re-allocates on every pass.
+  if (!TilePool::caching_enabled()) {
+    GTEST_SKIP() << "pool caching disabled under sanitizers";
+  }
+  const std::size_t n = 256, ts = 32;
+  const int ranks = 4;
+  constexpr int kWarmupPasses = 2;
+  constexpr int kMeasuredPasses = 6;
+  SymmetricTileMatrix full(n, ts);
+  full.from_dense(bench_spd(n));
+  Matrix<float> ph(n, 2);
+  for (std::size_t i = 0; i < ph.size(); ++i) {
+    ph.data()[i] = 0.01f * static_cast<float>(i % 97);
+  }
+  AssociateConfig config;
+  config.mode = PrecisionMode::kAdaptive;
+  config.adaptive.available = {Precision::kFp16};
+  config.tlr.tol = 0.0;
+
+  std::uint64_t warm = 0;
+  std::uint64_t after = 0;
+  run_ranks(ranks, [&](Communicator& comm) {
+    Runtime rt(1);
+    const ProcessGrid grid(ranks);
+    for (int pass = 0; pass < kWarmupPasses + kMeasuredPasses; ++pass) {
+      if (pass == kWarmupPasses) {
+        comm.barrier();
+        if (comm.rank() == 0) {
+          warm = TilePool::global().stats().fresh_allocations;
+        }
+        comm.barrier();
+      }
+      dist::DistSymmetricTileMatrix dk(n, ts, grid, comm.rank());
+      dk.from_full(full);
+      const AssociateResult r = dist::dist_associate(rt, comm, dk, ph, config);
+      EXPECT_EQ(r.weights.rows(), n);
+    }
+    comm.barrier();
+    if (comm.rank() == 0) after = TilePool::global().stats().fresh_allocations;
+  });
+  EXPECT_LE(after - warm, static_cast<std::uint64_t>(ranks))
+      << "repeated dist_associate passes must reuse the pool's parked "
+         "buffers instead of allocating fresh ones on every pass";
 }
 
 }  // namespace

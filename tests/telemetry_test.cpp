@@ -416,6 +416,61 @@ TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
   EXPECT_GE(depth->at("count").number, 4.0);
 }
 
+/// Sum of every convert.* counter whose name starts with `prefix`.
+std::uint64_t convert_total(const std::string& prefix) {
+  std::uint64_t total = 0;
+  for (const auto& m : tel::MetricRegistry::global().snapshot()) {
+    if (m.kind == tel::MetricKind::kCounter && m.name.rfind(prefix, 0) == 0) {
+      total += m.value;
+    }
+  }
+  return total;
+}
+
+TEST(RunReport, ConversionCountersTrackAdaptiveButNotFp32Fits) {
+  Runtime runtime(2);
+  const std::size_t n = 128, ts = 32;
+  Matrix<float> phenotypes(n, 2);
+  for (std::size_t i = 0; i < phenotypes.size(); ++i) {
+    phenotypes.data()[i] = 0.01f * static_cast<float>(i % 31);
+  }
+  const auto fit = [&](PrecisionMode mode) {
+    SymmetricTileMatrix k(n, ts);
+    k.from_dense(spd(n));
+    AssociateConfig config;
+    config.mode = mode;
+    config.adaptive.available = {Precision::kFp16};
+    config.tlr.tol = 0.0;
+    associate(runtime, k, phenotypes, config);
+  };
+  tel::RunReportInputs inputs;
+  inputs.phase = "unit";
+
+  // An FP32 fit converts nothing: no counter moves, no report block.
+  tel::MetricRegistry::global().reset();
+  fit(PrecisionMode::kFixed);
+  EXPECT_EQ(convert_total("convert."), 0u);
+  EXPECT_EQ(tel::parse_json(tel::run_report_json(inputs)).find("conversion"),
+            nullptr);
+
+  // The adaptive fit lowers tiles to FP16 and decodes them in the kernels.
+  tel::MetricRegistry::global().reset();
+  fit(PrecisionMode::kAdaptive);
+  EXPECT_GT(convert_total("convert.encode_bytes.fp16"), 0u);
+  EXPECT_GT(convert_total("convert.encode_ns.fp16"), 0u);
+  EXPECT_GT(convert_total("convert.decode_bytes.fp16"), 0u);
+  EXPECT_GT(convert_total("convert.decode_ns.fp16"), 0u);
+  const tel::JsonValue doc = tel::parse_json(tel::run_report_json(inputs));
+  const tel::JsonValue* conversion = doc.find("conversion");
+  ASSERT_NE(conversion, nullptr);
+  const tel::JsonValue& fp16 = conversion->at("fp16");
+  EXPECT_DOUBLE_EQ(fp16.at("encode_bytes").number,
+                   static_cast<double>(
+                       convert_total("convert.encode_bytes.fp16")));
+  EXPECT_GT(fp16.at("encode_gb_per_s").number, 0.0);
+  EXPECT_GT(fp16.at("decode_s").number, 0.0);
+}
+
 // ------------------------------------------------------------- logging
 
 TEST(Logging, FormatLineCarriesRankAndTimestamp) {

@@ -1,5 +1,6 @@
 // TilePool unit tests: free-list reuse, zero steady-state allocation
-// growth, the cached-bytes cap, and pool-backed Tile storage.
+// growth, per-class working-set retention, the cached-bytes cap, and
+// pool-backed Tile storage.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -62,6 +63,55 @@ TEST(TilePool, ZeroSteadyStateAllocationGrowth) {
   }
   EXPECT_EQ(pool.stats().fresh_allocations, after_warmup)
       << "steady-state acquire/release cycles must not allocate";
+}
+
+TEST(TilePool, AlternatingSizeClassPhasesStopAllocatingAfterFirstCycle) {
+  if (!TilePool::caching_enabled()) {
+    GTEST_SKIP() << "pool caching disabled under sanitizers";
+  }
+  // Two phases with disjoint size classes, each holding its whole
+  // working set at once (the shape of a dist pass: FP32 tiles, then FP16
+  // tiles plus kernel scratch).  Each class keeps its peak, so only the
+  // first cycle allocates.
+  TilePool pool;
+  const auto phase = [&pool](std::size_t bytes, std::size_t count,
+                             std::size_t scratch) {
+    std::vector<AlignedVector<std::byte>> live;
+    for (std::size_t i = 0; i < count; ++i) live.push_back(pool.acquire(bytes));
+    PooledF32 work(pool, scratch);
+    for (auto& buffer : live) pool.release(std::move(buffer));
+  };
+  const auto cycle = [&] {
+    phase(4096, 40, 512);
+    phase(2048, 70, 1024);
+  };
+  cycle();
+  const TilePool::Stats warm = pool.stats();
+  EXPECT_EQ(warm.fresh_allocations, 40u + 70u + 2u);
+  EXPECT_EQ(warm.dropped, 0u);
+  for (int i = 0; i < 10; ++i) cycle();
+  const TilePool::Stats after = pool.stats();
+  EXPECT_EQ(after.fresh_allocations, warm.fresh_allocations)
+      << "alternating phases must be served from the parked working sets";
+  EXPECT_EQ(after.cached_bytes,
+            40u * 4096 + 70u * 2048 + (512u + 1024u) * sizeof(float));
+}
+
+TEST(TilePool, ClassKeepsNoMoreIdleBuffersThanItsPeakInUse) {
+  if (!TilePool::caching_enabled()) {
+    GTEST_SKIP() << "pool caching disabled under sanitizers";
+  }
+  TilePool pool;
+  auto a = pool.acquire(1024);
+  auto b = pool.acquire(1024);
+  pool.release(std::move(a));
+  pool.release(std::move(b));  // peak in use was 2: both parked
+  EXPECT_EQ(pool.stats().cached_bytes, 2048u);
+  // A buffer the pool never handed out would exceed the class's peak.
+  pool.release(AlignedVector<std::byte>(1024));
+  const TilePool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.cached_bytes, 2048u);
+  EXPECT_EQ(stats.dropped, 1u);
 }
 
 TEST(TilePool, CapDropsReleasesInsteadOfCaching) {
