@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/status.hpp"
@@ -12,6 +13,14 @@
 #include "precision/precision.hpp"
 
 namespace kgwas {
+
+// Prints a format parameter by name rather than by address, so the names
+// that --gtest_list_tests (and so ctest discovery) reports are the same
+// in every build and every run.
+static void PrintTo(const FloatFormat* fmt, std::ostream* os) {
+  *os << fmt->name;
+}
+
 namespace {
 
 TEST(FloatFormat, KnownMaxFiniteValues) {
